@@ -439,17 +439,22 @@ impl Server {
                         m.queue_depth.dec();
                         m.inflight.inc();
                     }
-                    self.handle(job, out);
+                    // The gauge drops before the answer is written, so a
+                    // client that reads it and then polls `metrics` never
+                    // sees its own finished request still in flight.
+                    let line = self.handle(job);
                     if telemetry::metrics_enabled() {
                         advisor_metrics().inflight.dec();
                     }
+                    write_line(out, &line);
                 }
                 Err(_) => return, // channel closed and drained
             }
         }
     }
 
-    fn handle<W: Write>(&self, job: Job, out: &Mutex<W>) {
+    /// Runs one admitted job and returns its response frame.
+    fn handle(&self, job: Job) -> String {
         let start = telemetry::now_us();
         let Job {
             frame,
@@ -476,8 +481,7 @@ impl Server {
                         m.error(e.kind).inc();
                         m.finish_advise(received, false);
                     }
-                    write_error(out, &id, e.kind, &e.detail);
-                    return;
+                    return error_line(&id, e.kind, &e.detail);
                 }
             },
         };
@@ -507,8 +511,7 @@ impl Server {
                         vec![("frame", Value::U64(frame as u64))],
                     )
                 });
-                write_ok(out, &id, true, false, &body);
-                return;
+                return ok_line(&id, true, false, &body);
             }
         }
 
@@ -572,18 +575,17 @@ impl Server {
             )
         });
 
-        self.finish(frame, &id, fingerprint, outcome, received, out);
+        self.finish(frame, &id, fingerprint, outcome, received)
     }
 
-    fn finish<W: Write>(
+    fn finish(
         &self,
         frame: usize,
         id: &Json,
         fingerprint: Option<u64>,
         outcome: CellOutcome<Result<Advice, RequestError>>,
         received: u64,
-        out: &Mutex<W>,
-    ) {
+    ) -> String {
         let metrics_on = telemetry::metrics_enabled();
         match flatten_outcome(outcome) {
             Flat::Answer(advice) => {
@@ -619,7 +621,7 @@ impl Server {
                 if metrics_on {
                     advisor_metrics().finish_advise(received, true);
                 }
-                write_ok(out, id, false, advice.degraded, &body);
+                ok_line(id, false, advice.degraded, &body)
             }
             Flat::Refused(e) => {
                 Counters::bump(&self.counters.errors);
@@ -628,7 +630,7 @@ impl Server {
                     m.error(e.kind).inc();
                     m.finish_advise(received, false);
                 }
-                write_error(out, id, e.kind, &e.detail);
+                error_line(id, e.kind, &e.detail)
             }
             Flat::TimedOut => {
                 Counters::bump(&self.counters.errors);
@@ -638,7 +640,7 @@ impl Server {
                     m.error(ErrorKind::Timeout).inc();
                     m.finish_advise(received, false);
                 }
-                write_error(out, id, ErrorKind::Timeout, "deadline exceeded");
+                error_line(id, ErrorKind::Timeout, "deadline exceeded")
             }
             Flat::Panicked(detail) => {
                 Counters::bump(&self.counters.errors);
@@ -648,7 +650,7 @@ impl Server {
                     m.error(ErrorKind::Internal).inc();
                     m.finish_advise(received, false);
                 }
-                write_error(out, id, ErrorKind::Internal, &detail);
+                error_line(id, ErrorKind::Internal, &detail)
             }
         }
     }
@@ -746,7 +748,7 @@ fn write_line<W: Write>(out: &Mutex<W>, line: &str) {
     }
 }
 
-fn write_ok<W: Write>(out: &Mutex<W>, id: &Json, cached: bool, degraded: bool, body: &str) {
+fn ok_line(id: &Json, cached: bool, degraded: bool, body: &str) -> String {
     let mut line = String::from("{\"id\":");
     id.write(&mut line);
     line.push_str(",\"status\":\"ok\",\"cached\":");
@@ -756,10 +758,14 @@ fn write_ok<W: Write>(out: &Mutex<W>, id: &Json, cached: bool, degraded: bool, b
     line.push_str(",\"result\":");
     line.push_str(body);
     line.push('}');
-    write_line(out, &line);
+    line
 }
 
 fn write_error<W: Write>(out: &Mutex<W>, id: &Json, kind: ErrorKind, detail: &str) {
+    write_line(out, &error_line(id, kind, detail));
+}
+
+fn error_line(id: &Json, kind: ErrorKind, detail: &str) -> String {
     let mut line = String::from("{\"id\":");
     id.write(&mut line);
     line.push_str(",\"status\":\"error\",\"error\":");
@@ -767,5 +773,5 @@ fn write_error<W: Write>(out: &Mutex<W>, id: &Json, kind: ErrorKind, detail: &st
     line.push_str(",\"detail\":");
     Json::Str(detail.to_string()).write(&mut line);
     line.push('}');
-    write_line(out, &line);
+    line
 }

@@ -13,9 +13,10 @@
 //!   debugging, parsed with the same hand-rolled [`json`] layer the
 //!   advisor protocol uses;
 //!
-//! — and replays them through the cache simulator ([`replay`]): plain
-//! and XOR-indexed configurations, victim-cache scenarios, per-set heat
-//! classification, and exact or SHARDS-sampled reuse-distance analysis.
+//! — and replays them ([`replay`]) through [`pad_trace::SinkSet`], the
+//! sink set the kernel walks use: plain and XOR-indexed configurations,
+//! victim-cache scenarios, per-set heat classification, and exact or
+//! SHARDS-sampled reuse-distance analysis, with the same walk telemetry.
 //! Replay of a trace recorded from a built-in kernel reproduces that
 //! kernel's miss counts bit-identically (pinned by differential tests),
 //! so external traces get exactly the analyses the paper's kernels get.

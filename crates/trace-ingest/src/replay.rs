@@ -1,31 +1,23 @@
 //! Replaying an ingested trace through the cache simulator.
 //!
-//! A [`Replayer`] is a bundle of live analysis sinks — plain caches,
-//! victim-cache scenarios, per-set heat trackers, and one exact or
-//! SHARDS-sampled reuse analyzer — fed chunk by chunk from the streaming
-//! readers. Every sink consumes each chunk in order, so one pass over
-//! the file answers every configured question; memory is the sinks'
-//! state plus one chunk buffer, never the trace.
-//!
-//! The plain-cache path uses the same [`Cache::run_slice`] lane kernels
-//! the kernel-based batch engine uses, which is what makes the
-//! record-then-replay differential tests meaningful: a trace recorded
-//! from a built-in kernel replays to bit-identical miss counts.
+//! A [`Replayer`] is the batched engine's [`SinkSet`], fed chunk by chunk
+//! from the streaming readers, plus the `pad_ingest_*` metrics. One pass
+//! over the file answers every configured question in the memory of the
+//! sinks plus one chunk. Replay and kernel walks share the sink set, so a
+//! trace recorded from a built-in kernel replays to bit-identical counts.
 
-use pad_cache_sim::{
-    Access, Cache, CacheConfig, CacheStats, ReuseHistogram, SampledReuseAnalyzer, SetHeatReport,
-    SetHeatTracker, VictimCache, VictimStats,
-};
-use pad_telemetry::{Event, Value};
+use pad_cache_sim::{Access, CacheConfig, CacheStats, SetHeatReport, VictimStats};
+use pad_trace::{BatchRequest, SinkSet};
+
+use crate::metrics::ingest_metrics;
+
+pub use pad_trace::ReuseOutcome;
 
 /// What a replay should measure. Build with the `with_*` methods; an
 /// empty request still counts records (useful as a format check).
 #[derive(Debug, Clone, Default)]
 pub struct ReplayRequest {
-    plain: Vec<CacheConfig>,
-    victim: Vec<(CacheConfig, usize)>,
-    heat: Vec<CacheConfig>,
-    reuse: Option<(u64, u32)>,
+    batch: BatchRequest,
 }
 
 impl ReplayRequest {
@@ -37,53 +29,29 @@ impl ReplayRequest {
     /// Adds a plain cache simulation (any geometry, XOR-indexed
     /// included).
     pub fn with_plain(mut self, config: CacheConfig) -> Self {
-        self.plain.push(config);
+        self.batch = self.batch.with_plain(config);
         self
     }
 
     /// Adds a victim-cache scenario: `config` backed by a
     /// `victim_lines`-entry fully-associative victim buffer.
     pub fn with_victim(mut self, config: CacheConfig, victim_lines: usize) -> Self {
-        self.victim.push((config, victim_lines));
+        self.batch = self.batch.with_victim(config, victim_lines);
         self
     }
 
     /// Adds a per-set heat classification of `config`.
     pub fn with_heat(mut self, config: CacheConfig) -> Self {
-        self.heat.push(config);
+        self.batch = self.batch.with_heat(config);
         self
     }
 
-    /// Adds reuse-distance analysis at `line_size`, sampled at rate
-    /// `2^-sample_log2` (0 = exact).
+    /// Sets the reuse-distance analysis at `line_size`, sampled at rate
+    /// `2^-sample_log2` (0 = exact), replacing any earlier one.
     pub fn with_reuse(mut self, line_size: u64, sample_log2: u32) -> Self {
-        self.reuse = Some((line_size, sample_log2));
+        self.batch.sampled_reuse = vec![(line_size, sample_log2)];
         self
     }
-
-    /// True if no sink was configured.
-    pub fn is_empty(&self) -> bool {
-        self.plain.is_empty()
-            && self.victim.is_empty()
-            && self.heat.is_empty()
-            && self.reuse.is_none()
-    }
-
-    /// Number of configured sinks.
-    pub fn sinks(&self) -> usize {
-        self.plain.len() + self.victim.len() + self.heat.len() + usize::from(self.reuse.is_some())
-    }
-}
-
-/// Reuse-distance results of a replay.
-#[derive(Debug, Clone)]
-pub struct ReuseOutcome {
-    /// The (rescaled, if sampled) distance histogram.
-    pub histogram: ReuseHistogram,
-    /// The sampling exponent the analysis ran with (0 = exact).
-    pub sample_log2: u32,
-    /// Accesses that entered the sampled sub-stream.
-    pub sampled_accesses: u64,
 }
 
 /// Everything a finished replay measured.
@@ -103,11 +71,7 @@ pub struct ReplayResults {
 
 /// The live sinks of an in-progress replay.
 pub struct Replayer {
-    plain: Vec<Cache>,
-    victim: Vec<VictimCache>,
-    heat: Vec<SetHeatTracker>,
-    reuse: Option<SampledReuseAnalyzer>,
-    accesses: u64,
+    sinks: SinkSet,
     start_us: u64,
 }
 
@@ -115,21 +79,7 @@ impl Replayer {
     /// Instantiates the sinks of `request`.
     pub fn new(request: &ReplayRequest) -> Self {
         Replayer {
-            plain: request.plain.iter().map(|c| Cache::new(*c)).collect(),
-            victim: request
-                .victim
-                .iter()
-                .map(|(c, lines)| VictimCache::new(*c, *lines))
-                .collect(),
-            heat: request
-                .heat
-                .iter()
-                .map(|c| SetHeatTracker::new(*c))
-                .collect(),
-            reuse: request
-                .reuse
-                .map(|(line, k)| SampledReuseAnalyzer::new(line, k)),
-            accesses: 0,
+            sinks: SinkSet::new(&request.batch, "ingest"),
             start_us: pad_telemetry::now_us(),
         }
     }
@@ -138,87 +88,19 @@ impl Replayer {
     /// invisible to the results — any split of the same trace produces
     /// identical outcomes.
     pub fn feed(&mut self, chunk: &[Access]) {
-        self.accesses += chunk.len() as u64;
         if pad_telemetry::metrics_enabled() {
-            crate::metrics::ingest_metrics()
-                .records
-                .add(chunk.len() as u64);
+            ingest_metrics().records.add(chunk.len() as u64);
         }
-        for cache in &mut self.plain {
-            cache.run_slice(chunk);
-        }
-        for victim in &mut self.victim {
-            victim.run_slice(chunk);
-        }
-        for heat in &mut self.heat {
-            heat.run_slice(chunk);
-        }
-        if let Some(reuse) = &mut self.reuse {
-            reuse.run_slice(chunk);
-        }
-    }
-
-    /// Records replayed so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.sinks.feed(chunk);
     }
 
     /// Closes the replay, emitting telemetry and collecting results.
     pub fn finish(self) -> ReplayResults {
-        let heat: Vec<SetHeatReport> = self.heat.iter().map(|h| h.report()).collect();
-        for (i, report) in heat.iter().enumerate() {
-            pad_telemetry::emit(|| {
-                let c = report.class_counts();
-                Event::counter(
-                    "cache",
-                    format!("ingest/heat{i}"),
-                    vec![
-                        ("very_hot_sets", Value::U64(c[0])),
-                        ("hot_sets", Value::U64(c[1])),
-                        ("cold_sets", Value::U64(c[2])),
-                        ("very_cold_sets", Value::U64(c[3])),
-                        ("evictions", Value::U64(report.total_evictions())),
-                    ],
-                )
-            });
-        }
-        if let Some(reuse) = &self.reuse {
-            pad_telemetry::emit(|| {
-                Event::counter(
-                    "reuse",
-                    "ingest/reuse",
-                    vec![
-                        ("sample_log2", Value::U64(u64::from(reuse.sample_log2()))),
-                        ("sampled", Value::U64(reuse.sampled_accesses())),
-                        ("total", Value::U64(reuse.total_accesses())),
-                        (
-                            "distinct_sampled_lines",
-                            Value::U64(reuse.distinct_sampled_lines() as u64),
-                        ),
-                    ],
-                )
-            });
-        }
-        let sinks = (self.plain.len()
-            + self.victim.len()
-            + self.heat.len()
-            + usize::from(self.reuse.is_some())) as u64;
-        let accesses = self.accesses;
-        let start_us = self.start_us;
-        pad_telemetry::emit(|| {
-            Event::span(
-                start_us,
-                "sim",
-                "ingest/replay",
-                vec![
-                    ("accesses", Value::U64(accesses)),
-                    ("sinks", Value::U64(sinks)),
-                ],
-            )
-        });
+        let accesses = self.sinks.accesses();
+        let results = self.sinks.finish();
         if pad_telemetry::metrics_enabled() {
-            let m = crate::metrics::ingest_metrics();
-            let elapsed = pad_telemetry::now_us().saturating_sub(start_us);
+            let m = ingest_metrics();
+            let elapsed = pad_telemetry::now_us().saturating_sub(self.start_us);
             m.replays.inc();
             m.replay_us.record(elapsed);
             if elapsed > 0 {
@@ -227,15 +109,11 @@ impl Replayer {
             }
         }
         ReplayResults {
-            accesses: self.accesses,
-            plain: self.plain.iter().map(|c| *c.stats()).collect(),
-            victim: self.victim.iter().map(|v| *v.stats()).collect(),
-            heat,
-            reuse: self.reuse.map(|r| ReuseOutcome {
-                sample_log2: r.sample_log2(),
-                sampled_accesses: r.sampled_accesses(),
-                histogram: r.into_histogram(),
-            }),
+            accesses,
+            plain: results.plain,
+            victim: results.victim,
+            heat: results.heat,
+            reuse: results.sampled_reuse.into_iter().next(),
         }
     }
 }
@@ -250,7 +128,7 @@ pub fn replay_slice(trace: &[Access], request: &ReplayRequest) -> ReplayResults 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pad_cache_sim::XorShift64Star;
+    use pad_cache_sim::{Cache, XorShift64Star};
 
     fn trace(n: usize) -> Vec<Access> {
         let mut rng = XorShift64Star::new(3);
@@ -274,7 +152,6 @@ mod tests {
             .with_victim(CacheConfig::try_new(1024, 32, 1).unwrap(), 8)
             .with_heat(CacheConfig::try_new(1024, 32, 2).unwrap())
             .with_reuse(32, 0);
-        assert_eq!(request.sinks(), 4);
 
         let whole = replay_slice(&t, &request);
         let mut split = Replayer::new(&request);
@@ -306,7 +183,6 @@ mod tests {
     #[test]
     fn empty_request_counts_records() {
         let results = replay_slice(&trace(123), &ReplayRequest::new());
-        assert!(ReplayRequest::new().is_empty());
         assert_eq!(results.accesses, 123);
         assert!(results.plain.is_empty() && results.heat.is_empty());
     }

@@ -1,24 +1,20 @@
-//! Batched simulation: every simulator a (program, layout) pair feeds,
-//! in one trace walk.
+//! Batched simulation: every simulator a trace feeds, in one walk.
 //!
-//! The figure sweeps evaluate the *same* program/layout against several
-//! cache organizations, miss classifiers, victim buffers, and multi-level
-//! hierarchies. Trace generation is a large share of each cell's cost, so
-//! regenerating the stream per simulator wastes the dominant term. A
-//! [`BatchRequest`] names every sink up front; [`simulate_batch`] compiles
-//! the trace once, walks it once, and tees chunked slices (via
-//! [`CompiledTrace::for_each_chunk`]) into all sinks, so per-access
-//! dispatch is a tight slice loop per simulator rather than a closure
-//! call per access per simulator.
+//! A [`BatchRequest`] names every sink up front; a [`SinkSet`] tees each
+//! chunk of accesses into all of them (a tight slice loop per simulator,
+//! not a closure call per access per simulator). Any chunk source drives
+//! it: a compiled kernel ([`simulate_batch`]) or a decoded trace file
+//! (the `pad-trace-ingest` replayer).
 
 use pad_cache_sim::{
     Access, Cache, CacheConfig, CacheStats, ClassifiedStats, ClassifyingCache, Hierarchy,
-    LevelStats, ReuseAnalyzer, ReuseHistogram, Sampler, SetHeatReport, SetHeatTracker, VictimCache,
-    VictimStats,
+    LevelStats, ReuseAnalyzer, ReuseHistogram, SampledReuseAnalyzer, Sampler, SetHeatReport,
+    SetHeatTracker, VictimCache, VictimStats,
 };
 use pad_core::DataLayout;
 use pad_ir::Program;
-use pad_telemetry::{Event, Value};
+use pad_telemetry::{registry, Counter, Event, Value};
+use std::sync::{Arc, OnceLock};
 
 use crate::compiled::CompiledTrace;
 
@@ -27,7 +23,7 @@ use crate::compiled::CompiledTrace;
 /// several simulated caches touch it.
 pub const BATCH_CHUNK: usize = 4096;
 
-/// Everything one compiled trace should be run through.
+/// Everything one trace should be run through.
 ///
 /// Build with the fluent `with_*` methods; empty requests are legal and
 /// produce empty results.
@@ -45,6 +41,10 @@ pub struct BatchRequest {
     /// bytes. Each yields a [`ReuseHistogram`] — the exact
     /// fully-associative LRU miss count for *every* capacity at once.
     pub reuse: Vec<u64>,
+    /// SHARDS-sampled reuse-distance analyses, one per
+    /// `(line_size, sample_log2)`: sampled at rate `2^-sample_log2`
+    /// (0 = exact). Each yields a [`ReuseOutcome`].
+    pub sampled_reuse: Vec<(u64, u32)>,
     /// Per-set heat classifications. Each yields a [`SetHeatReport`]
     /// naming which sets carry the conflict pressure — the evidence the
     /// XOR-indexing and victim-cache scenarios act on.
@@ -99,6 +99,14 @@ impl BatchRequest {
         self
     }
 
+    /// Adds a reuse-distance analysis over lines of `line_size` bytes,
+    /// SHARDS-sampled at rate `2^-sample_log2` (0 = exact).
+    #[must_use]
+    pub fn with_sampled_reuse(mut self, line_size: u64, sample_log2: u32) -> Self {
+        self.sampled_reuse.push((line_size, sample_log2));
+        self
+    }
+
     /// Adds a per-set heat classification of `config`.
     #[must_use]
     pub fn with_heat(mut self, config: CacheConfig) -> Self {
@@ -106,18 +114,35 @@ impl BatchRequest {
         self
     }
 
+    /// Number of requested sinks.
+    pub fn sinks(&self) -> usize {
+        self.plain.len()
+            + self.classified.len()
+            + self.victim.len()
+            + self.hierarchy.len()
+            + self.reuse.len()
+            + self.sampled_reuse.len()
+            + self.heat.len()
+    }
+
     /// True when no sink was requested.
     pub fn is_empty(&self) -> bool {
-        self.plain.is_empty()
-            && self.classified.is_empty()
-            && self.victim.is_empty()
-            && self.hierarchy.is_empty()
-            && self.reuse.is_empty()
-            && self.heat.is_empty()
+        self.sinks() == 0
     }
 }
 
-/// Results of a [`simulate_batch`] run, index-aligned with the request.
+/// Results of a sampled reuse-distance sink.
+#[derive(Debug, Clone)]
+pub struct ReuseOutcome {
+    /// The (rescaled, if sampled) distance histogram.
+    pub histogram: ReuseHistogram,
+    /// The sampling exponent the analysis ran with (0 = exact).
+    pub sample_log2: u32,
+    /// Accesses that entered the sampled sub-stream.
+    pub sampled_accesses: u64,
+}
+
+/// Results of a batched walk, index-aligned with the request.
 #[derive(Debug, Clone, Default)]
 pub struct BatchResults {
     /// Per-[`BatchRequest::plain`] statistics, in request order.
@@ -130,8 +155,240 @@ pub struct BatchResults {
     pub hierarchy: Vec<Vec<LevelStats>>,
     /// Per-[`BatchRequest::reuse`] histograms, in request order.
     pub reuse: Vec<ReuseHistogram>,
+    /// Per-[`BatchRequest::sampled_reuse`] outcomes, in request order.
+    pub sampled_reuse: Vec<ReuseOutcome>,
     /// Per-[`BatchRequest::heat`] reports, in request order.
     pub heat: Vec<SetHeatReport>,
+}
+
+/// The live sinks of one walk, fed chunk by chunk from any access
+/// source; any split of the same stream produces identical results.
+///
+/// With telemetry on, the set also owns the walk's instrumentation:
+/// cache-counter samples every `RIVERA_SIM_SAMPLE` accesses (checked at
+/// chunk boundaries, flushed at the end; victim buffers hide their main
+/// cache and are not sampled), one end-of-walk counter per reuse and heat
+/// sink, and one `sim` span named after the walk. With it off, the
+/// sampler list is empty and every emit is a skipped closure.
+pub struct SinkSet {
+    name: String,
+    plain: Vec<Cache>,
+    classified: Vec<ClassifyingCache>,
+    victim: Vec<VictimCache>,
+    hierarchy: Vec<Hierarchy>,
+    reuse: Vec<ReuseAnalyzer>,
+    sampled_reuse: Vec<SampledReuseAnalyzer>,
+    heat: Vec<SetHeatTracker>,
+    samplers: Vec<Sampler>,
+    sinks: u64,
+    accesses: u64,
+    chunks: u64,
+    start_us: u64,
+}
+
+impl SinkSet {
+    /// Instantiates every sink of `request`; `name` labels the walk's
+    /// telemetry (the program name for kernel walks).
+    pub fn new(request: &BatchRequest, name: &str) -> Self {
+        let mut set = SinkSet {
+            name: name.to_string(),
+            plain: build(&request.plain, Cache::new),
+            classified: build(&request.classified, ClassifyingCache::new),
+            victim: build(&request.victim, |(c, n)| VictimCache::new(c, n)),
+            hierarchy: build(&request.hierarchy, Hierarchy::new),
+            reuse: build(&request.reuse, ReuseAnalyzer::new),
+            sampled_reuse: build(&request.sampled_reuse, |(line, k)| {
+                SampledReuseAnalyzer::new(line, k)
+            }),
+            heat: build(&request.heat, SetHeatTracker::new),
+            samplers: Vec::new(),
+            sinks: request.sinks() as u64,
+            accesses: 0,
+            chunks: 0,
+            start_us: pad_telemetry::now_us(),
+        };
+        if pad_telemetry::enabled() {
+            let interval = pad_telemetry::sample_interval();
+            let levels = set.hierarchy.iter().enumerate().flat_map(|(i, h)| {
+                (1..=h.levels().len()).map(move |l| format!("{name}/hier{i}.L{l}"))
+            });
+            // One sampler per `watched` cache, or none when sampling is
+            // off, so the per-chunk sampler loop then iterates zero times.
+            set.samplers = (0..set.plain.len())
+                .map(|i| format!("{name}/plain{i}"))
+                .chain((0..set.classified.len()).map(|i| format!("{name}/classified{i}")))
+                .chain(levels)
+                .filter_map(|label| Sampler::new(label, interval))
+                .collect();
+        }
+        set
+    }
+
+    /// Runs one chunk of accesses through every sink.
+    // Kept out of line: inlined into a walker's per-access closure, the
+    // sink loops slow the hot generation loop (`bench_telemetry` gate).
+    #[inline(never)]
+    pub fn feed(&mut self, chunk: &[Access]) {
+        self.accesses += chunk.len() as u64;
+        self.chunks += 1;
+        for cache in &mut self.plain {
+            cache.run_slice(chunk);
+        }
+        for cache in &mut self.classified {
+            cache.run_slice(chunk);
+        }
+        for cache in &mut self.victim {
+            cache.run_slice(chunk);
+        }
+        for h in &mut self.hierarchy {
+            h.run_slice(chunk);
+        }
+        for r in &mut self.reuse {
+            r.run_slice(chunk);
+        }
+        for r in &mut self.sampled_reuse {
+            r.run_slice(chunk);
+        }
+        for h in &mut self.heat {
+            h.run_slice(chunk);
+        }
+        let caches = watched(&self.plain, &self.classified, &self.hierarchy);
+        for (s, cache) in self.samplers.iter_mut().zip(caches) {
+            s.tick(cache);
+        }
+    }
+
+    /// Accesses fed so far.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
+    /// Ends the walk: flushes the samplers, emits the end-of-walk
+    /// counters and the `sim` span, and collects every sink's result.
+    pub fn finish(self) -> BatchResults {
+        let name = &self.name;
+        // End-of-walk flush so short walks still yield one data point each.
+        let caches = watched(&self.plain, &self.classified, &self.hierarchy);
+        for (s, cache) in self.samplers.iter().zip(caches) {
+            s.sample(cache);
+        }
+        for (i, r) in self.reuse.iter().enumerate() {
+            pad_telemetry::emit(|| {
+                let h = r.histogram();
+                Event::counter(
+                    "reuse",
+                    format!("{name}/reuse{i}"),
+                    vec![
+                        ("accesses", Value::U64(h.accesses())),
+                        ("distinct_lines", Value::U64(h.cold())),
+                        ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
+                        ("compactions", Value::U64(r.compactions())),
+                    ],
+                )
+            });
+        }
+        for (i, r) in self.sampled_reuse.iter().enumerate() {
+            pad_telemetry::emit(|| {
+                Event::counter(
+                    "reuse",
+                    format!("{name}/sampled_reuse{i}"),
+                    vec![
+                        ("sample_log2", Value::U64(u64::from(r.sample_log2()))),
+                        ("sampled", Value::U64(r.sampled_accesses())),
+                        ("total", Value::U64(r.total_accesses())),
+                        (
+                            "distinct_sampled_lines",
+                            Value::U64(r.distinct_sampled_lines() as u64),
+                        ),
+                    ],
+                )
+            });
+        }
+        let heat: Vec<SetHeatReport> = self.heat.iter().map(SetHeatTracker::report).collect();
+        for (i, report) in heat.iter().enumerate() {
+            pad_telemetry::emit(|| {
+                let c = report.class_counts();
+                Event::counter(
+                    "heat",
+                    format!("{name}/heat{i}"),
+                    vec![
+                        ("very_hot_sets", Value::U64(c[0])),
+                        ("hot_sets", Value::U64(c[1])),
+                        ("cold_sets", Value::U64(c[2])),
+                        ("very_cold_sets", Value::U64(c[3])),
+                        ("evictions", Value::U64(report.total_evictions())),
+                    ],
+                )
+            });
+        }
+        pad_telemetry::emit(|| {
+            let busy_us = pad_telemetry::now_us().saturating_sub(self.start_us).max(1);
+            Event::span(
+                self.start_us,
+                "sim",
+                name.clone(),
+                vec![
+                    ("accesses", Value::U64(self.accesses)),
+                    ("chunks", Value::U64(self.chunks)),
+                    ("sinks", Value::U64(self.sinks)),
+                    (
+                        "accesses_per_sec",
+                        Value::F64(self.accesses as f64 / (busy_us as f64 / 1e6)),
+                    ),
+                ],
+            )
+        });
+        // Live-metrics accounting happens once per walk, after it: the
+        // per-chunk loop stays untouched in every mode.
+        if self.accesses > 0 && pad_telemetry::metrics_enabled() {
+            static ACCESSES: OnceLock<Arc<Counter>> = OnceLock::new();
+            let help = "Accesses walked by the batched simulation engine.";
+            ACCESSES
+                .get_or_init(|| registry().counter("pad_sim_accesses_total", help))
+                .add(self.accesses);
+        }
+
+        BatchResults {
+            plain: self.plain.iter().map(|c| *c.stats()).collect(),
+            classified: self.classified.iter().map(|c| *c.stats()).collect(),
+            victim: self.victim.iter().map(|c| *c.stats()).collect(),
+            hierarchy: self.hierarchy.iter().map(Hierarchy::stats).collect(),
+            reuse: self
+                .reuse
+                .into_iter()
+                .map(ReuseAnalyzer::into_histogram)
+                .collect(),
+            sampled_reuse: self
+                .sampled_reuse
+                .into_iter()
+                .map(|r| ReuseOutcome {
+                    sample_log2: r.sample_log2(),
+                    sampled_accesses: r.sampled_accesses(),
+                    histogram: r.into_histogram(),
+                })
+                .collect(),
+            heat,
+        }
+    }
+}
+
+/// The caches counter samplers watch, in sampler order: each plain
+/// cache, each classified sink's main cache, each hierarchy level.
+fn watched<'a>(
+    plain: &'a [Cache],
+    classified: &'a [ClassifyingCache],
+    hierarchy: &'a [Hierarchy],
+) -> impl Iterator<Item = &'a Cache> {
+    let levels = hierarchy.iter().flat_map(Hierarchy::levels);
+    plain
+        .iter()
+        .chain(classified.iter().map(ClassifyingCache::main))
+        .chain(levels)
+}
+
+/// One sink per request entry, in request order.
+fn build<C: Clone, S>(entries: &[C], sink: impl FnMut(C) -> S) -> Vec<S> {
+    entries.iter().cloned().map(sink).collect()
 }
 
 /// Compiles `program` × `layout` and runs the trace through every sink in
@@ -189,260 +446,12 @@ pub fn simulate_batch_compiled(
     request: &BatchRequest,
     buf: &mut Vec<Access>,
 ) -> BatchResults {
-    let mut plain: Vec<Cache> = request.plain.iter().map(|c| Cache::new(*c)).collect();
-    let mut classified: Vec<ClassifyingCache> = request
-        .classified
-        .iter()
-        .map(|c| ClassifyingCache::new(*c))
-        .collect();
-    let mut victim: Vec<VictimCache> = request
-        .victim
-        .iter()
-        .map(|&(c, n)| VictimCache::new(c, n))
-        .collect();
-    let mut hierarchy: Vec<Hierarchy> = request
-        .hierarchy
-        .iter()
-        .map(|levels| Hierarchy::new(levels.clone()))
-        .collect();
-    let mut reuse: Vec<ReuseAnalyzer> = request
-        .reuse
-        .iter()
-        .map(|&line_size| ReuseAnalyzer::new(line_size))
-        .collect();
-    let mut heat: Vec<SetHeatTracker> = request
-        .heat
-        .iter()
-        .map(|c| SetHeatTracker::new(*c))
-        .collect();
-
-    // Accesses actually walked, tallied per chunk (one add per ~4K
-    // accesses) so the metrics accounting below never needs a second
-    // walk of the trace.
-    let mut walked = 0u64;
-    if !request.is_empty() {
-        if pad_telemetry::enabled() {
-            // Instrumented walk, taken only when telemetry is on; the
-            // default path below stays exactly the seed loop, so the
-            // disabled cost is this one branch per batch call.
-            walked = run_instrumented(
-                trace,
-                buf,
-                &mut plain,
-                &mut classified,
-                &mut victim,
-                &mut hierarchy,
-                &mut reuse,
-                &mut heat,
-            );
-        } else {
-            trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
-                walked += chunk.len() as u64;
-                for cache in &mut plain {
-                    cache.run_slice(chunk);
-                }
-                for cache in &mut classified {
-                    cache.run_slice(chunk);
-                }
-                for cache in &mut victim {
-                    cache.run_slice(chunk);
-                }
-                for h in &mut hierarchy {
-                    h.run_slice(chunk);
-                }
-                for r in &mut reuse {
-                    r.run_slice(chunk);
-                }
-                for h in &mut heat {
-                    h.run_slice(chunk);
-                }
-            });
-        }
+    if request.is_empty() {
+        return BatchResults::default();
     }
-
-    // Live-metrics accounting happens once per batch, after the walk:
-    // the per-access hot loops above stay untouched in every mode.
-    if walked > 0 && pad_telemetry::metrics_enabled() {
-        use std::sync::OnceLock;
-        static ACCESSES: OnceLock<std::sync::Arc<pad_telemetry::Counter>> = OnceLock::new();
-        ACCESSES
-            .get_or_init(|| {
-                pad_telemetry::registry().counter(
-                    "pad_sim_accesses_total",
-                    "Accesses walked by the batched simulation engine.",
-                )
-            })
-            .add(walked);
-    }
-
-    BatchResults {
-        plain: plain.iter().map(|c| *c.stats()).collect(),
-        classified: classified.iter().map(|c| *c.stats()).collect(),
-        victim: victim.iter().map(|c| *c.stats()).collect(),
-        hierarchy: hierarchy.iter().map(Hierarchy::stats).collect(),
-        reuse: reuse
-            .into_iter()
-            .map(ReuseAnalyzer::into_histogram)
-            .collect(),
-        heat: heat.iter().map(SetHeatTracker::report).collect(),
-    }
-}
-
-/// The telemetry-enabled walk: identical sink updates (same chunking,
-/// same `run_slice` calls, so statistics are bit-identical to the plain
-/// loop), plus a `sim` throughput span per walk and optional periodic
-/// cache-counter samples (`RIVERA_SIM_SAMPLE` accesses apart, checked at
-/// chunk boundaries). Victim-buffered sinks are not sampled — they do not
-/// expose their main cache — but still run and report normally. Reuse
-/// sinks have no `Cache` to sample; instead each emits one end-of-walk
-/// counter (distinct lines, max distance, tick compactions). Heat sinks
-/// likewise emit one end-of-walk counter with their class census.
-#[allow(clippy::too_many_arguments)]
-fn run_instrumented(
-    trace: &CompiledTrace,
-    buf: &mut Vec<Access>,
-    plain: &mut [Cache],
-    classified: &mut [ClassifyingCache],
-    victim: &mut [VictimCache],
-    hierarchy: &mut [Hierarchy],
-    reuse: &mut [ReuseAnalyzer],
-    heat: &mut [SetHeatTracker],
-) -> u64 {
-    let start_us = pad_telemetry::now_us();
-    let interval = pad_telemetry::sample_interval();
-    // Sampler setup is hoisted fully out of the walk and skipped — name
-    // `format!`s included — when sampling is disabled: only *active*
-    // samplers are materialized (paired with the index of the sink they
-    // watch), so the per-chunk loops below iterate zero times instead of
-    // re-checking a per-sink `Option` every chunk.
-    let mut plain_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut classified_samplers: Vec<(usize, Sampler)> = Vec::new();
-    let mut hierarchy_samplers: Vec<(usize, usize, Sampler)> = Vec::new();
-    if interval > 0 {
-        plain_samplers = (0..plain.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/plain{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        classified_samplers = (0..classified.len())
-            .filter_map(|i| {
-                Sampler::new(format!("{}/classified{i}", trace.name()), interval).map(|s| (i, s))
-            })
-            .collect();
-        hierarchy_samplers = hierarchy
-            .iter()
-            .enumerate()
-            .flat_map(|(i, h)| (0..h.levels().len()).map(move |lvl| (i, lvl)))
-            .filter_map(|(i, lvl)| {
-                Sampler::new(format!("{}/hier{i}.L{}", trace.name(), lvl + 1), interval)
-                    .map(|s| (i, lvl, s))
-            })
-            .collect();
-    }
-
-    let mut accesses = 0u64;
-    let mut chunks = 0u64;
-    trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| {
-        accesses += chunk.len() as u64;
-        chunks += 1;
-        for cache in &mut *plain {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut *classified {
-            cache.run_slice(chunk);
-        }
-        for cache in &mut *victim {
-            cache.run_slice(chunk);
-        }
-        for h in &mut *hierarchy {
-            h.run_slice(chunk);
-        }
-        for r in &mut *reuse {
-            r.run_slice(chunk);
-        }
-        for h in &mut *heat {
-            h.run_slice(chunk);
-        }
-        for (i, s) in &mut plain_samplers {
-            s.tick(&plain[*i]);
-        }
-        for (i, s) in &mut classified_samplers {
-            s.tick(classified[*i].main());
-        }
-        for (i, lvl, s) in &mut hierarchy_samplers {
-            s.tick(&hierarchy[*i].levels()[*lvl]);
-        }
-    });
-
-    // End-of-walk flush so short walks still yield one data point each.
-    for (i, s) in &plain_samplers {
-        s.sample(&plain[*i]);
-    }
-    for (i, s) in &classified_samplers {
-        s.sample(classified[*i].main());
-    }
-    for (i, lvl, s) in &hierarchy_samplers {
-        s.sample(&hierarchy[*i].levels()[*lvl]);
-    }
-
-    for (i, r) in reuse.iter().enumerate() {
-        pad_telemetry::emit(|| {
-            let h = r.histogram();
-            Event::counter(
-                "reuse",
-                format!("{}/reuse{i}", trace.name()),
-                vec![
-                    ("accesses", Value::U64(h.accesses())),
-                    ("distinct_lines", Value::U64(h.cold())),
-                    ("max_distance", Value::U64(h.max_distance().unwrap_or(0))),
-                    ("compactions", Value::U64(r.compactions())),
-                ],
-            )
-        });
-    }
-
-    for (i, h) in heat.iter().enumerate() {
-        pad_telemetry::emit(|| {
-            let report = h.report();
-            let c = report.class_counts();
-            Event::counter(
-                "heat",
-                format!("{}/heat{i}", trace.name()),
-                vec![
-                    ("very_hot_sets", Value::U64(c[0])),
-                    ("hot_sets", Value::U64(c[1])),
-                    ("cold_sets", Value::U64(c[2])),
-                    ("very_cold_sets", Value::U64(c[3])),
-                    ("evictions", Value::U64(report.total_evictions())),
-                ],
-            )
-        });
-    }
-
-    let sinks = (plain.len()
-        + classified.len()
-        + victim.len()
-        + hierarchy.len()
-        + reuse.len()
-        + heat.len()) as u64;
-    pad_telemetry::emit(|| {
-        let busy_us = pad_telemetry::now_us().saturating_sub(start_us).max(1);
-        Event::span(
-            start_us,
-            "sim",
-            trace.name().to_string(),
-            vec![
-                ("accesses", Value::U64(accesses)),
-                ("chunks", Value::U64(chunks)),
-                ("sinks", Value::U64(sinks)),
-                (
-                    "accesses_per_sec",
-                    Value::F64(accesses as f64 / (busy_us as f64 / 1e6)),
-                ),
-            ],
-        )
-    });
-    accesses
+    let mut set = SinkSet::new(request, trace.name());
+    trace.for_each_chunk(BATCH_CHUNK, buf, |chunk| set.feed(chunk));
+    set.finish()
 }
 
 #[cfg(test)]
@@ -590,6 +599,25 @@ mod tests {
         let stats = simulate_program(&program, &layout, &fa);
         assert_eq!(results.reuse[0].misses_at(64), stats.misses);
         assert_eq!(results.reuse[0].accesses(), stats.accesses);
+    }
+
+    #[test]
+    fn sampled_reuse_at_full_rate_matches_exact_reuse() {
+        let program = pad_kernels::jacobi::spec(24);
+        let layout = DataLayout::original(&program);
+        let results = simulate_batch(
+            &program,
+            &layout,
+            &BatchRequest::new()
+                .with_reuse(32)
+                .with_sampled_reuse(32, 0)
+                .with_sampled_reuse(32, 2),
+        );
+        let exact = &results.sampled_reuse[0];
+        assert_eq!(exact.histogram, results.reuse[0]);
+        assert_eq!(exact.sampled_accesses, results.reuse[0].accesses());
+        assert_eq!(results.sampled_reuse[1].sample_log2, 2);
+        assert!(results.sampled_reuse[1].sampled_accesses < exact.sampled_accesses);
     }
 
     #[test]

@@ -46,14 +46,15 @@
 mod batch;
 mod compiled;
 mod generate;
-mod multi;
 mod record;
 mod run;
 
-pub use batch::{simulate_batch, simulate_batch_compiled, BatchRequest, BatchResults, BATCH_CHUNK};
+pub use batch::{
+    simulate_batch, simulate_batch_compiled, BatchRequest, BatchResults, ReuseOutcome, SinkSet,
+    BATCH_CHUNK,
+};
 pub use compiled::CompiledTrace;
 pub use generate::{count_accesses, for_each_access};
-pub use multi::simulate_many;
 pub use record::collect_trace;
 pub use run::{
     padding_config_for, simulate_classified, simulate_hierarchy, simulate_program, simulate_victim,

@@ -57,7 +57,7 @@ else
     skip_gate build "VERIFY_SKIP_BUILD=1"
 fi
 
-run_gate test cargo test --workspace -q
+run_gate test cargo test --workspace --no-fail-fast -q
 
 run_gate clippy cargo clippy --workspace --all-targets -- -D warnings
 
